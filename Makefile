@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify cover bench bench-kway experiments fmt serve loadtest loadtest-wire chaos soak lint-docs fuzz-wire kway-diff cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check
+.PHONY: all build vet test race verify cover bench bench-kway experiments fmt serve loadtest loadtest-wire chaos soak lint-docs fuzz-wire kway-diff cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check kernel-codegen
 
 all: build vet test
 
@@ -31,6 +31,14 @@ lint-docs:
 		./internal/jobs ./internal/extsort ./internal/wire \
 		./internal/kway ./internal/fault ./cmd/mergerouter
 
+# Machine-code check of the two-way merge kernel every Ordered merge runs:
+# the int64 and float64 instantiations linked into cmd/mergepathd may call
+# nothing but the runtime's panic and stack-growth entry points. Catches a
+# helper that the compiler inlines in internal/core but calls out of line
+# from the linked generic instantiation.
+kernel-codegen:
+	GO=$(GO) ./scripts/kernel-codegen.sh
+
 # Quick k-way differential: every strategy (heap, tree, co-rank) must be
 # byte-identical to the sequential heap baseline across k x sizes x
 # duplicate densities, and the co-rank cuts must satisfy their
@@ -47,7 +55,8 @@ kway-diff:
 fuzz-wire:
 	$(GO) test -run FuzzDecode -fuzz FuzzDecode -fuzztime 10s ./internal/wire
 
-# Full pre-merge gate: build, vet, unit tests, godoc audit, race suite
+# Full pre-merge gate: build, vet, unit tests, godoc audit, the merge
+# kernel's machine-code check, race suite
 # (which includes the fault-injection lifecycle tests in internal/server
 # and internal/fault), a chaos pass against a live in-process daemon,
 # the in-process cluster soak (3 backends + router, one backend
@@ -58,7 +67,7 @@ fuzz-wire:
 # (`make soak`); the multi-process cluster is `make cluster`; the
 # extended jobs soak is `make jobs-soak`; the real SIGKILL restart soak
 # is `make restart-soak`.
-verify: build vet test lint-docs kway-diff race fuzz-wire chaos cluster-quick jobs-soak-quick restart-quick
+verify: build vet test lint-docs kway-diff kernel-codegen race fuzz-wire chaos cluster-quick jobs-soak-quick restart-quick
 
 cover:
 	$(GO) test -cover ./...

@@ -79,23 +79,6 @@ func BenchmarkPartition(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchVariants is the search-formulation ablation: co-rank
-// lower-bound vs the paper's matrix-transition bisection.
-func BenchmarkSearchVariants(b *testing.B) {
-	x, y, _ := benchPair(b, benchN)
-	k := benchN // middle diagonal
-	b.Run("corank", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SearchDiagonal(x, y, k)
-		}
-	})
-	b.Run("matrix", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SearchDiagonalMatrix(x, y, k)
-		}
-	})
-}
-
 // BenchmarkRelatedWork regenerates E9: the §V algorithm family on one
 // merge, p=4.
 func BenchmarkRelatedWork(b *testing.B) {

@@ -25,7 +25,18 @@ func TestDifferentialMergers(t *testing.T) {
 	}
 	mergers := []merger{
 		{"core.Merge", func(a, b, out []int32, p int) { core.Merge(a, b, out) }},
-		{"core.MergeBranchFree", func(a, b, out []int32, p int) { core.MergeBranchFree(a, b, out) }},
+		// The branch-free kernel is no longer a function of its own: it
+		// is the dense path of core.MergeSteps. The row keeps its name,
+		// so its test IDs stay stable, and resumes MergeSteps in
+		// 97-element chunks, which cut through the kernel's 128-element
+		// blocks.
+		{"core.MergeBranchFree", func(a, b, out []int32, p int) {
+			at := core.Point{}
+			for lo := 0; lo < len(out); lo += 97 {
+				hi := min(lo+97, len(out))
+				at = core.MergeSteps(a, b, at, hi-lo, out[lo:hi])
+			}
+		}},
 		{"core.ParallelMerge", core.ParallelMerge[int32]},
 		{"core.Hierarchical", func(a, b, out []int32, p int) {
 			core.HierarchicalMerge(a, b, out, core.HierarchicalConfig{Blocks: max(p/2, 1), TeamSize: 2})

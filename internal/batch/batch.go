@@ -17,8 +17,8 @@
 // sequential stable merge of its inputs. The global balancing cannot
 // perturb this — workers write disjoint ranges of each pair's one merge
 // path, and pairs never interleave (pair i's output goes only to pair i's
-// Out). Merge, MergeWithLoads and MergeNaive therefore produce identical
-// output for identical input.
+// Out). Merge and MergeWithLoads therefore produce identical output for
+// identical input.
 package batch
 
 import (
@@ -88,30 +88,6 @@ func mergeGlobalRange[T cmp.Ordered](pairs []Pair[T], offsets []int, lo, hi int)
 		}
 		lo = offsets[i] + len(pr.Out)
 	}
-}
-
-// MergeNaive merges the pairs with one goroutine per pair (up to p at a
-// time) — the per-pair scheduling baseline the balance experiment compares
-// against. Exported for benchmarks and tests.
-func MergeNaive[T cmp.Ordered](pairs []Pair[T], p int) {
-	if p < 1 {
-		panic("batch: worker count must be positive")
-	}
-	sem := make(chan struct{}, p)
-	var wg sync.WaitGroup
-	wg.Add(len(pairs))
-	for _, pr := range pairs {
-		if len(pr.Out) != len(pr.A)+len(pr.B) {
-			panic("batch: output length mismatch")
-		}
-		sem <- struct{}{}
-		go func(pr Pair[T]) {
-			defer wg.Done()
-			core.Merge(pr.A, pr.B, pr.Out)
-			<-sem
-		}(pr)
-	}
-	wg.Wait()
 }
 
 // WorkerLoad reports what one worker of a globally balanced round did:
@@ -221,20 +197,4 @@ func pairsSpanned[T cmp.Ordered](pairs []Pair[T], offsets []int, lo, hi int) int
 		}
 	}
 	return n
-}
-
-// WorkerLoads reports, for diagnostic purposes, how many output elements
-// each of p workers receives under the global balancing (always within one
-// element of total/p) — the counterpoint to per-pair scheduling where one
-// giant pair serializes.
-func WorkerLoads[T cmp.Ordered](pairs []Pair[T], p int) []int {
-	total := 0
-	for _, pr := range pairs {
-		total += len(pr.A) + len(pr.B)
-	}
-	loads := make([]int, p)
-	for w := 0; w < p; w++ {
-		loads[w] = (w+1)*total/p - w*total/p
-	}
-	return loads
 }

@@ -1,11 +1,14 @@
 package batch
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"mergepath/internal/core"
 	"mergepath/internal/verify"
 	"mergepath/internal/workload"
 )
@@ -64,7 +67,7 @@ func TestMergeMatchesNaive(t *testing.T) {
 		pairs2[i] = Pair[int32]{A: pr.A, B: pr.B, Out: make([]int32, len(pr.Out))}
 	}
 	Merge(pairs1, 5)
-	MergeNaive(pairs2, 5)
+	mergeNaive(pairs2, 5)
 	for i := range pairs1 {
 		if !verify.Equal(pairs1[i].Out, pairs2[i].Out) {
 			t.Fatalf("pair %d: balanced and naive disagree", i)
@@ -75,7 +78,7 @@ func TestMergeMatchesNaive(t *testing.T) {
 func TestMergeEdgeCases(t *testing.T) {
 	Merge[int32](nil, 4)                      // no pairs
 	Merge([]Pair[int32]{{Out: []int32{}}}, 4) // one empty pair
-	MergeNaive([]Pair[int32]{{Out: []int32{}}}, 2)
+	mergeNaive([]Pair[int32]{{Out: []int32{}}}, 2)
 	pairs := []Pair[int32]{
 		{A: []int32{1}, B: nil, Out: make([]int32, 1)},
 		{A: nil, B: []int32{2}, Out: make([]int32, 1)},
@@ -89,9 +92,9 @@ func TestMergeEdgeCases(t *testing.T) {
 func TestMergePanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"p0":        func() { Merge([]Pair[int32]{}, 0) },
-		"naive-p0":  func() { MergeNaive([]Pair[int32]{}, 0) },
+		"naive-p0":  func() { mergeNaive([]Pair[int32]{}, 0) },
 		"out":       func() { Merge([]Pair[int32]{{A: []int32{1}, Out: nil}}, 1) },
-		"naive-out": func() { MergeNaive([]Pair[int32]{{A: []int32{1}, Out: nil}}, 1) },
+		"naive-out": func() { mergeNaive([]Pair[int32]{{A: []int32{1}, Out: nil}}, 1) },
 	} {
 		func() {
 			defer func() {
@@ -101,28 +104,6 @@ func TestMergePanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestWorkerLoadsBalanced(t *testing.T) {
-	rng := rand.New(rand.NewSource(253))
-	pairs := makePairs(rng, 7, 1000)
-	total := 0
-	for _, pr := range pairs {
-		total += len(pr.Out)
-	}
-	for _, p := range []int{1, 3, 16} {
-		loads := WorkerLoads(pairs, p)
-		sum := 0
-		for _, l := range loads {
-			sum += l
-			if l > total/p+1 || l < total/p-1 {
-				t.Fatalf("p=%d: load %d far from %d", p, l, total/p)
-			}
-		}
-		if sum != total {
-			t.Fatalf("p=%d: loads sum %d != %d", p, sum, total)
-		}
 	}
 }
 
@@ -254,8 +235,32 @@ func BenchmarkBatchSkewed(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("per-pair/p=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				MergeNaive(pairs, p)
+				mergeNaive(pairs, p)
 			}
 		})
 	}
+}
+
+// mergeNaive merges the pairs with one goroutine per pair (up to p at a
+// time) — the per-pair scheduling baseline that Merge's global balance is
+// tested and benchmarked against.
+func mergeNaive[T cmp.Ordered](pairs []Pair[T], p int) {
+	if p < 1 {
+		panic("batch: worker count must be positive")
+	}
+	sem := make(chan struct{}, p)
+	var wg sync.WaitGroup
+	wg.Add(len(pairs))
+	for _, pr := range pairs {
+		if len(pr.Out) != len(pr.A)+len(pr.B) {
+			panic("batch: output length mismatch")
+		}
+		sem <- struct{}{}
+		go func(pr Pair[T]) {
+			defer wg.Done()
+			core.Merge(pr.A, pr.B, pr.Out)
+			<-sem
+		}(pr)
+	}
+	wg.Wait()
 }

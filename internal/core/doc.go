@@ -17,9 +17,15 @@
 //
 // This package provides the diagonal search (SearchDiagonal), balanced
 // partitioning of a merge into any number of independent jobs (Partition),
-// sequential merge kernels, and the paper's Algorithm 1 (Parallel Merge),
-// which merges with p goroutines, no locks, and no inter-worker
-// communication.
+// the sequential merge (Merge, and MergeSteps for one worker's segment),
+// and the paper's Algorithm 1 (Parallel Merge), which merges with p
+// goroutines, no locks, and no inter-worker communication.
+//
+// Every Ordered merge runs one sequential kernel. It adapts to the shape
+// of the merge path block by block: a branch-free loop where a and b
+// interleave densely, and a run-copy loop where the path has long
+// straight runs (see Merge). The comparator (…Func) variants keep a plain
+// branching loop, since the call to less dominates their cost.
 //
 // Convention and stability: we resolve ties by consuming from A first
 // (the path moves right only when A[i] > B[j], exactly as in the paper's

@@ -6,9 +6,9 @@ import (
 	"mergepath/internal/verify"
 )
 
-// decodeSortedPair turns fuzz bytes into two sorted int32 arrays: the
-// first byte splits the data, the rest become elements (sorted in place).
-func decodeSortedPair(data []byte) (a, b []int32) {
+// decodeRawPair turns fuzz bytes into two int32 arrays in input order:
+// the first byte splits the data, the rest become elements.
+func decodeRawPair(data []byte) (a, b []int32) {
 	if len(data) == 0 {
 		return nil, nil
 	}
@@ -18,14 +18,22 @@ func decodeSortedPair(data []byte) (a, b []int32) {
 		for i, v := range bs {
 			s[i] = int32(v)
 		}
+		return s
+	}
+	return mk(data[1 : 1+split]), mk(data[1+split:])
+}
+
+// decodeSortedPair is decodeRawPair with each array then sorted.
+func decodeSortedPair(data []byte) (a, b []int32) {
+	a, b = decodeRawPair(data)
+	for _, s := range [][]int32{a, b} {
 		for i := 1; i < len(s); i++ {
 			for j := i; j > 0 && s[j] < s[j-1]; j-- {
 				s[j], s[j-1] = s[j-1], s[j]
 			}
 		}
-		return s
 	}
-	return mk(data[1 : 1+split]), mk(data[1+split:])
+	return a, b
 }
 
 func FuzzParallelMerge(f *testing.F) {
@@ -39,6 +47,37 @@ func FuzzParallelMerge(f *testing.F) {
 		ParallelMerge(a, b, out, p)
 		if !verify.Equal(out, verify.ReferenceMerge(a, b)) {
 			t.Fatalf("p=%d a=%v b=%v: got %v", p, a, b, out)
+		}
+		// The adaptive kernel against the reference kernels: the whole
+		// merge, and MergeSteps from a diagonal start chosen by pSeed.
+		total := len(out)
+		k := int(pSeed) * total / 255
+		start := SearchDiagonal(a, b, k)
+		for name, ref := range refKernels[int32]() {
+			want := make([]int32, total)
+			ref(a, b, Point{}, total, want)
+			if !verify.Equal(out, want) {
+				t.Fatalf("a=%v b=%v: ParallelMerge %v, %s reference %v", a, b, out, name, want)
+			}
+			got := make([]int32, total-k)
+			end := MergeSteps(a, b, start, total-k, got)
+			wantEnd := ref(a, b, start, total-k, want[:total-k])
+			if end != wantEnd || !verify.Equal(got, want[:total-k]) {
+				t.Fatalf("a=%v b=%v from %+v: MergeSteps %v to %+v, %s reference %v to %+v",
+					a, b, start, got, end, name, want[:total-k], wantEnd)
+			}
+		}
+		// Unsorted inputs too: every kernel's output is fixed by the
+		// sequence of a[i] <= b[j] outcomes alone.
+		ua, ub := decodeRawPair(data)
+		got := make([]int32, len(ua)+len(ub))
+		Merge(ua, ub, got)
+		for name, ref := range refKernels[int32]() {
+			want := make([]int32, len(got))
+			ref(ua, ub, Point{}, len(want), want)
+			if !verify.Equal(got, want) {
+				t.Fatalf("unsorted a=%v b=%v: Merge %v, %s reference %v", ua, ub, got, name, want)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -289,4 +290,18 @@ func TestMergedRangePanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// MergeMatrix materializes the binary merge matrix M[i][j] = (a[i] > b[j])
+// of Definition 1. It is quadratic in size and exists only for the tests of the
+// matrix propositions (10, 11, Corollary 12) on small inputs.
+func MergeMatrix[T cmp.Ordered](a, b []T) [][]bool {
+	m := make([][]bool, len(a))
+	for i := range m {
+		m[i] = make([]bool, len(b))
+		for j := range m[i] {
+			m[i][j] = a[i] > b[j]
+		}
+	}
+	return m
 }

@@ -77,108 +77,3 @@ func ParallelMergeFunc[T any](a, b, out []T, p int, less func(x, y T) bool) {
 	}
 	wg.Wait()
 }
-
-// ParallelMergePrepartitioned merges using an explicit boundary list from
-// Partition (or any valid non-overlapping cover of the merge path). It lets
-// callers reuse a partition across runs, supply deliberately unbalanced
-// partitions for the load-balance experiments, or run segments on an
-// existing worker pool.
-func ParallelMergePrepartitioned[T cmp.Ordered](a, b, out []T, boundaries []Point) {
-	if len(out) != len(a)+len(b) {
-		panic("core: output length mismatch")
-	}
-	if len(boundaries) < 2 {
-		panic("core: need at least two boundary points")
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(boundaries) - 1)
-	for i := 0; i+1 < len(boundaries); i++ {
-		go func(start, end Point) {
-			defer wg.Done()
-			lo, hi := start.Diagonal(), end.Diagonal()
-			MergeSteps(a, b, start, hi-lo, out[lo:hi])
-		}(boundaries[i], boundaries[i+1])
-	}
-	wg.Wait()
-}
-
-// mergeJob describes one worker's slice of a merge for the pooled variant.
-type mergeJob struct {
-	lo, hi int
-}
-
-// Pool is a reusable fixed-size worker pool for repeated parallel merges.
-// Algorithm 1 spawns workers per call, which is faithful to the paper's
-// OpenMP parallel-for but pays goroutine start-up on every merge; the merge
-// rounds of a merge sort issue many small merges, where a persistent pool
-// amortizes that cost. Pool is safe for sequential reuse, not for
-// concurrent Merge calls.
-type Pool struct {
-	p    int
-	jobs []chan mergeJob
-	done chan struct{}
-	run  func(job mergeJob)
-	wg   sync.WaitGroup
-}
-
-// NewPool starts a pool of p workers. Close must be called to release them.
-func NewPool(p int) *Pool {
-	if p < 1 {
-		panic("core: worker count must be positive")
-	}
-	pool := &Pool{
-		p:    p,
-		jobs: make([]chan mergeJob, p),
-		done: make(chan struct{}),
-	}
-	pool.wg.Add(p)
-	for i := range pool.jobs {
-		pool.jobs[i] = make(chan mergeJob, 1)
-		go func(jobs <-chan mergeJob) {
-			defer pool.wg.Done()
-			for job := range jobs {
-				pool.run(job)
-			}
-		}(pool.jobs[i])
-	}
-	return pool
-}
-
-// Workers reports the pool size.
-func (pl *Pool) Workers() int { return pl.p }
-
-// Close shuts the pool down and waits for its workers to exit.
-func (pl *Pool) Close() {
-	for _, ch := range pl.jobs {
-		close(ch)
-	}
-	pl.wg.Wait()
-}
-
-// Merge runs ParallelMerge on the pool's workers.
-//
-// The closure handed to the workers is swapped per call; a sync.WaitGroup
-// local to the call provides the terminal barrier.
-func MergeOnPool[T cmp.Ordered](pl *Pool, a, b, out []T) {
-	if len(out) != len(a)+len(b) {
-		panic("core: output length mismatch")
-	}
-	total := len(a) + len(b)
-	p := pl.p
-	if p > total {
-		// Degenerate tiny input: do it inline rather than schedule empty jobs.
-		Merge(a, b, out)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	pl.run = func(job mergeJob) {
-		defer wg.Done()
-		start := SearchDiagonal(a, b, job.lo)
-		MergeSteps(a, b, start, job.hi-job.lo, out[job.lo:job.hi])
-	}
-	for i := 0; i < p; i++ {
-		pl.jobs[i] <- mergeJob{lo: i * total / p, hi: (i + 1) * total / p}
-	}
-	wg.Wait()
-}

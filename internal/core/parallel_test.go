@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -84,6 +85,9 @@ func TestParallelMergeFuncStability(t *testing.T) {
 	}
 }
 
+// TestParallelMergePrepartitioned merges over arbitrary, deliberately
+// uneven covers of the merge path: any set of diagonal cuts yields
+// segments that merge independently (Corollary 7 without the balance).
 func TestParallelMergePrepartitioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 40; trial++ {
@@ -110,57 +114,25 @@ func TestParallelMergePrepartitioned(t *testing.T) {
 		for i, k := range ks {
 			bounds[i] = SearchDiagonal(a, b, k)
 		}
+		// Each segment runs on its own goroutine from its own boundary
+		// point, with nothing shared but the input and disjoint output.
 		out := make([]int32, na+nb)
-		ParallelMergePrepartitioned(a, b, out, bounds)
+		var wg sync.WaitGroup
+		for i := 0; i+1 < len(bounds); i++ {
+			wg.Add(1)
+			go func(start, end Point) {
+				defer wg.Done()
+				lo, hi := start.Diagonal(), end.Diagonal()
+				if got := MergeSteps(a, b, start, hi-lo, out[lo:hi]); got != end {
+					t.Errorf("segment from %+v ended at %+v, want %+v", start, got, end)
+				}
+			}(bounds[i], bounds[i+1])
+		}
+		wg.Wait()
 		if !verify.Equal(out, want) {
 			t.Fatalf("trial %d: prepartitioned merge differs (cuts %v)", trial, ks)
 		}
 	}
-}
-
-func TestParallelMergePrepartitionedPanics(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for single boundary")
-			}
-		}()
-		ParallelMergePrepartitioned([]int32{}, []int32{}, []int32{}, []Point{{}})
-	}()
-}
-
-func TestPoolMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	pool := NewPool(4)
-	defer pool.Close()
-	if pool.Workers() != 4 {
-		t.Fatalf("workers = %d", pool.Workers())
-	}
-	for trial := 0; trial < 30; trial++ {
-		na, nb := rng.Intn(3000), rng.Intn(3000)
-		a := workload.SortedUniform32(rng, na)
-		b := workload.SortedUniform32(rng, nb)
-		out := make([]int32, na+nb)
-		MergeOnPool(pool, a, b, out)
-		if !verify.IsMergeOf(out, a, b) {
-			t.Fatalf("trial %d: pool merge incorrect", trial)
-		}
-	}
-	// Tiny input goes through the inline path.
-	out := make([]int32, 2)
-	MergeOnPool(pool, []int32{5}, []int32{1}, out)
-	if out[0] != 1 || out[1] != 5 {
-		t.Fatalf("tiny pool merge: %v", out)
-	}
-}
-
-func TestNewPoolPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for p=0")
-		}
-	}()
-	NewPool(0)
 }
 
 func TestParallelMergeQuick(t *testing.T) {

@@ -25,6 +25,7 @@ import (
 	"container/heap"
 
 	"mergepath/internal/core"
+	"mergepath/internal/sched"
 )
 
 // Merge merges k sorted lists into a single sorted slice, picking the
@@ -68,7 +69,9 @@ func MergeInto[T cmp.Ordered](dst []T, lists [][]T, p int) []T {
 // Round r+2 may overwrite round r's buffer because round r+1 already
 // consumed it. merge performs one pairwise merge with the given worker
 // count; its first input is always the lower-indexed subtree, which is
-// what preserves the cross-list tie rule through the tree.
+// what preserves the cross-list tie rule through the tree. Each round
+// runs on at most p workers in total (sched.Round), however many pairs
+// it holds.
 func treeMerge[T any](dst []T, lists [][]T, p int, merge func(a, b, out []T, workers int)) {
 	total := len(dst)
 	runs := append(make([][]T, 0, len(lists)), lists...)
@@ -89,10 +92,6 @@ func treeMerge[T any](dst []T, lists [][]T, p int, merge func(a, b, out []T, wor
 		}
 		pairs := len(runs) / 2
 		next := make([][]T, 0, (len(runs)+1)/2)
-		perMerge := p / pairs
-		if perMerge < 1 {
-			perMerge = 1
-		}
 		type job struct{ a, b, out []T }
 		jobs := make([]job, 0, pairs)
 		offset := 0
@@ -109,16 +108,9 @@ func treeMerge[T any](dst []T, lists [][]T, p int, merge func(a, b, out []T, wor
 			copy(out, last)
 			next = append(next, out)
 		}
-		done := make(chan struct{})
-		for _, j := range jobs {
-			go func(j job) {
-				merge(j.a, j.b, j.out, perMerge)
-				done <- struct{}{}
-			}(j)
-		}
-		for range jobs {
-			<-done
-		}
+		sched.Round(len(jobs), p, func(m, workers int) {
+			merge(jobs[m].a, jobs[m].b, jobs[m].out, workers)
+		})
 		runs = next
 	}
 }

@@ -2,9 +2,12 @@ package kway
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"mergepath/internal/core"
 	"mergepath/internal/verify"
 	"mergepath/internal/workload"
 )
@@ -72,6 +75,40 @@ func TestMergeAgainstHeap(t *testing.T) {
 		want := HeapMerge(lists)
 		if !verify.Equal(got, want) {
 			t.Fatalf("k=%d: tree merge differs from heap merge", k)
+		}
+	}
+}
+
+// TestTreeMergeHonoursWorkerLimit counts the workers of the pairwise
+// merges a tree runs at once. A round of k/2 pairs used to start every
+// pair together whatever p was; the limit is p workers in total.
+func TestTreeMergeHonoursWorkerLimit(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	for _, k := range []int{2, 3, 7, 16, 33} {
+		lists := make([][]int32, k)
+		total := 0
+		for i := range lists {
+			lists[i] = workload.SortedUniform32(rng, 1+rng.Intn(300))
+			total += len(lists[i])
+		}
+		want := HeapMerge(lists)
+		for _, p := range []int{1, 2, 3, 5} {
+			var running, peak atomic.Int64
+			dst := make([]int32, total)
+			treeMerge(dst, lists, p, func(a, b, out []int32, workers int) {
+				now := running.Add(int64(workers))
+				for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
+				}
+				time.Sleep(200 * time.Microsecond) // hold the workers so merges overlap
+				core.ParallelMerge(a, b, out, workers)
+				running.Add(-int64(workers))
+			})
+			if got := peak.Load(); got > int64(p) {
+				t.Errorf("k=%d p=%d: %d workers ran at once", k, p, got)
+			}
+			if !verify.Equal(dst, want) {
+				t.Fatalf("k=%d p=%d: tree merge differs from heap merge", k, p)
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mergepath/internal/core"
+	"mergepath/internal/sched"
 	"mergepath/internal/stats"
 )
 
@@ -146,7 +147,8 @@ func sortCtx[T cmp.Ordered](ctx context.Context, s []T, p int, timed bool) (Sort
 	}
 
 	// Phase 2: pairwise merge rounds, ping-ponging s and scratch, each
-	// merge cancellation-aware. A merge that observes ctx done leaves its
+	// merge cancellation-aware. A round holds up to n/(2*runLen) pairs,
+	// which may be more than p; sched.Round keeps it on p workers. A merge that observes ctx done leaves its
 	// destination range partial; the round is then abandoned wholesale.
 	// In timed mode each merge collects per-worker stats; the round's
 	// element counts feed one LoadSummary per round and MaxImbalance
@@ -158,34 +160,27 @@ func sortCtx[T cmp.Ordered](ctx context.Context, s []T, p int, timed bool) (Sort
 		}
 		pairs := len(runs) / 2
 		nextRuns := make([][2]int, 0, (len(runs)+1)/2)
-		perMerge := p / pairs
-		if perMerge < 1 {
-			perMerge = 1
+		for m := 0; m < pairs; m++ {
+			nextRuns = append(nextRuns, [2]int{runs[2*m][0], runs[2*m+1][1]})
 		}
 		var aborted atomic.Bool
 		var roundStats [][]core.WorkerStat
 		if timed {
 			roundStats = make([][]core.WorkerStat, pairs)
 		}
-		wg.Add(pairs)
-		for m := 0; m < pairs; m++ {
+		sched.Round(pairs, p, func(m, workers int) {
 			r1, r2 := runs[2*m], runs[2*m+1]
-			nextRuns = append(nextRuns, [2]int{r1[0], r2[1]})
-			go func(m int, r1, r2 [2]int) {
-				defer wg.Done()
-				a, b, out := src[r1[0]:r1[1]], src[r2[0]:r2[1]], dst[r1[0]:r2[1]]
-				var err error
-				if timed {
-					roundStats[m], err = core.ParallelMergeCtxStats(ctx, a, b, out, perMerge)
-				} else {
-					err = core.ParallelMergeCtx(ctx, a, b, out, perMerge)
-				}
-				if err != nil {
-					aborted.Store(true)
-				}
-			}(m, r1, r2)
-		}
-		wg.Wait()
+			a, b, out := src[r1[0]:r1[1]], src[r2[0]:r2[1]], dst[r1[0]:r2[1]]
+			var err error
+			if timed {
+				roundStats[m], err = core.ParallelMergeCtxStats(ctx, a, b, out, workers)
+			} else {
+				err = core.ParallelMergeCtx(ctx, a, b, out, workers)
+			}
+			if err != nil {
+				aborted.Store(true)
+			}
+		})
 		st.MergeRounds++
 		if timed {
 			var elems []int

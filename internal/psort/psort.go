@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"mergepath/internal/core"
+	"mergepath/internal/sched"
 	"mergepath/internal/spm"
 )
 
@@ -67,20 +68,13 @@ func Sort[T cmp.Ordered](s []T, p int) {
 	for len(runs) > 1 {
 		pairs := len(runs) / 2
 		next := make([][2]int, 0, (len(runs)+1)/2)
-		perMerge := p / pairs
-		if perMerge < 1 {
-			perMerge = 1
-		}
-		wg.Add(pairs)
 		for m := 0; m < pairs; m++ {
-			r1, r2 := runs[2*m], runs[2*m+1]
-			next = append(next, [2]int{r1[0], r2[1]})
-			go func(r1, r2 [2]int) {
-				defer wg.Done()
-				core.ParallelMerge(src[r1[0]:r1[1]], src[r2[0]:r2[1]], dst[r1[0]:r2[1]], perMerge)
-			}(r1, r2)
+			next = append(next, [2]int{runs[2*m][0], runs[2*m+1][1]})
 		}
-		wg.Wait()
+		sched.Round(pairs, p, func(m, workers int) {
+			r1, r2 := runs[2*m], runs[2*m+1]
+			core.ParallelMerge(src[r1[0]:r1[1]], src[r2[0]:r2[1]], dst[r1[0]:r2[1]], workers)
+		})
 		if len(runs)%2 == 1 {
 			last := runs[len(runs)-1]
 			copy(dst[last[0]:last[1]], src[last[0]:last[1]])
@@ -187,20 +181,13 @@ func SortFunc[T any](s []T, p int, less func(x, y T) bool) {
 	for len(runs) > 1 {
 		pairs := len(runs) / 2
 		next := make([][2]int, 0, (len(runs)+1)/2)
-		perMerge := p / pairs
-		if perMerge < 1 {
-			perMerge = 1
-		}
-		wg.Add(pairs)
 		for m := 0; m < pairs; m++ {
-			r1, r2 := runs[2*m], runs[2*m+1]
-			next = append(next, [2]int{r1[0], r2[1]})
-			go func(r1, r2 [2]int) {
-				defer wg.Done()
-				core.ParallelMergeFunc(src[r1[0]:r1[1]], src[r2[0]:r2[1]], dst[r1[0]:r2[1]], perMerge, less)
-			}(r1, r2)
+			next = append(next, [2]int{runs[2*m][0], runs[2*m+1][1]})
 		}
-		wg.Wait()
+		sched.Round(pairs, p, func(m, workers int) {
+			r1, r2 := runs[2*m], runs[2*m+1]
+			core.ParallelMergeFunc(src[r1[0]:r1[1]], src[r2[0]:r2[1]], dst[r1[0]:r2[1]], workers, less)
+		})
 		if len(runs)%2 == 1 {
 			last := runs[len(runs)-1]
 			copy(dst[last[0]:last[1]], src[last[0]:last[1]])

@@ -13,6 +13,10 @@
 // scheduler itself is deliberately simple — a single shared ready queue,
 // no stealing, no priorities — because its role is structural, not
 // performance-tuned.
+//
+// Round is the barrier-per-round counterpart: it runs one round of
+// independent merges on a bounded number of workers, which is how the
+// merge sorts and the k-way merge tree keep to their worker count p.
 package sched
 
 import "sync"

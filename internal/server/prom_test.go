@@ -141,8 +141,20 @@ func TestMetricsPromFormatAndAgreement(t *testing.T) {
 	}
 	post(t, ts, "/v1/merge", MergeRequest{A: []int64{3, 1}}, nil) // 400
 
-	// No /v1 traffic between the two scrapes, and the metrics endpoints
-	// themselves mutate nothing, so the surfaces must agree exactly.
+	// A handler records its request after writing the response, so the
+	// last one can still be landing when the client has its reply: wait
+	// until all 7 are recorded. No /v1 traffic between the two scrapes
+	// follows, and the metrics endpoints themselves mutate nothing, so
+	// the surfaces must then agree exactly.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		n := uint64(0)
+		for _, e := range s.Snapshot().Endpoints {
+			n += e.Count
+		}
+		if n >= 7 {
+			break
+		}
+	}
 	samples := scrapeProm(t, ts)
 	snap := s.Snapshot()
 

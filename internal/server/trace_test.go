@@ -152,8 +152,15 @@ func TestTraceSpansConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := s.Snapshot()
+	// A handler folds its spans into the metrics after it has written the
+	// response, so the client can see its last response a moment before
+	// the last spans land: wait for them rather than racing them.
 	total := uint64(goroutines * perG)
+	snap := s.Snapshot()
+	for deadline := time.Now().Add(5 * time.Second); snap.Stages[StageExecute].Count < total && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		snap = s.Snapshot()
+	}
 	if got := snap.Stages[StageExecute].Count; got != total {
 		t.Errorf("execute spans = %d, want %d", got, total)
 	}
