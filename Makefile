@@ -39,13 +39,14 @@ lint-docs:
 kernel-codegen:
 	GO=$(GO) ./scripts/kernel-codegen.sh
 
-# Quick k-way differential: every strategy (heap, tree, co-rank) must be
-# byte-identical to the sequential heap baseline across k x sizes x
-# duplicate densities, and the co-rank cuts must satisfy their
-# invariants (sum to rank, pairwise order, monotone windows). See
-# docs/KWAY.md for the algorithm these tests pin.
+# Quick k-way differential: every entry point of the k-way engine must be
+# byte-identical to the cursor-heap oracle across k x sizes x input
+# shapes x window counts, its windows must be balanced and run at most p
+# at once, and the co-rank cuts must satisfy their invariants (sum to
+# rank, pairwise order, monotone windows). See docs/KWAY.md for the
+# algorithm these tests pin.
 kway-diff:
-	$(GO) test -run 'TestMergeIntoMatchesHeap|TestCoRank' -count=1 ./internal/kway
+	$(GO) test -run 'TestMergeIntoMatchesHeap|TestMergeWindowStats|TestWindowsHonourWorkerLimit|TestCoRank' -count=1 ./internal/kway
 
 # Short coverage-guided fuzz of the binary frame decoder: truncated,
 # oversized and corrupt frames must error cleanly (no panic, no
@@ -75,13 +76,10 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# K-way strategy comparison (heap vs tree vs co-rank at k=4/16/64 over a
-# fixed 1M-element output) plus the co-rank partitioner in isolation and
-# the external-sort fan-in delta.
+# K-way engine vs the cursor-heap oracle at k=4/16/64 over a fixed
+# 1M-element output, plus the co-rank partitioner in isolation.
 bench-kway:
-	$(GO) test -bench 'BenchmarkKWayStrategies|BenchmarkCoRankSearch' -benchmem ./internal/kway
-	$(GO) test -bench BenchmarkGatherStrategies -benchmem -run xxx ./internal/router
-	$(GO) test -bench BenchmarkSortFanInStrategies -benchmem ./internal/extsort
+	$(GO) test -run '^$$' -bench 'BenchmarkKWayEngine|BenchmarkCoRankSearch' -benchmem ./internal/kway
 
 # Regenerate every table of EXPERIMENTS.md (laptop-scale sizes).
 experiments:

@@ -46,7 +46,6 @@ import (
 	"mergepath/internal/fault"
 	"mergepath/internal/harness"
 	"mergepath/internal/jobs"
-	"mergepath/internal/kway"
 	"mergepath/internal/overload"
 	"mergepath/internal/resilience"
 	"mergepath/internal/server"
@@ -85,8 +84,6 @@ type options struct {
 	maxBody  int64
 	wireMode bool
 	wireSize int
-
-	kwayStrategy string
 }
 
 // defaultChaosSpec is the -chaos fault mix: enough panics and errors to
@@ -132,16 +129,10 @@ func main() {
 	flag.Int64Var(&o.maxBody, "max-body", 0, "self-serve: request body cap in bytes (0 = server default; raise for -size beyond ~500k elements of JSON)")
 	flag.BoolVar(&o.wireMode, "wire", false, "after the main run, compare JSON vs binary-frame decode cost against a dedicated in-process daemon (adds a wire section to -json output)")
 	flag.IntVar(&o.wireSize, "wire-size", 1<<20, "wire comparison: total elements per merge request")
-	flag.StringVar(&o.kwayStrategy, "kway-strategy", "auto", "self-serve: k-way merge strategy for /v1/mergek and job fan-in: auto, heap, tree or corank (docs/KWAY.md)")
 	flag.Parse()
 
 	if o.chaos && o.url != "" {
 		fatalf("-chaos needs the in-process self-served daemon; drop -url (or start mergepathd with -fault instead)")
-	}
-
-	kstrat, err := kway.ParseStrategy(o.kwayStrategy)
-	if err != nil {
-		fatalf("-kway-strategy: %v", err)
 	}
 
 	var srv *server.Server
@@ -151,7 +142,6 @@ func main() {
 			Workers:      o.workers,
 			QueueDepth:   o.queue,
 			MaxBodyBytes: o.maxBody,
-			KWayStrategy: kstrat,
 			Overload: overload.Config{
 				Target:   o.overloadTarget,
 				Interval: o.overloadInterval,
@@ -160,7 +150,6 @@ func main() {
 				MemoryRecords: o.jobsMemory,
 				MaxConcurrent: 2,
 				MaxQueued:     16,
-				KWay:          kstrat,
 			},
 		}
 		if o.chaos {

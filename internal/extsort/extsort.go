@@ -43,11 +43,6 @@ type Config struct {
 	// and phase names the current phase ("run_formation", "merge",
 	// "copyback"). Called from the sorting goroutine; keep it cheap.
 	Progress func(done, total int64, phase string)
-	// KWay selects the in-window k-way merge strategy used by the fan-in
-	// phase: kway.StrategyAuto (the zero value) picks per round by run
-	// count and window size, the rest force heap, tree or corank (see
-	// docs/KWAY.md). Output bytes are identical for every choice.
-	KWay kway.Strategy
 }
 
 // Stats reports what an external sort did.
@@ -68,10 +63,10 @@ type Stats struct {
 	// the engine had allocated at any point — the measured side of the
 	// MemoryRecords contract (always <= MemoryRecords).
 	PeakBufferRecords int `json:"peak_buffer_records"`
-	// KWayImbalanceMax is the worst per-worker window imbalance ratio of
-	// any co-rank in-window merge this sort ran (the k-way Theorem 5
-	// check; ~1.0 by construction). Zero when no co-rank round ran —
-	// the heap or tree strategies report no per-worker loads.
+	// KWayImbalanceMax is the worst per-window imbalance ratio of any
+	// in-window k-way merge this sort ran (the k-way Theorem 5 check;
+	// ~1.0 by construction). Zero when every merge ran as one window —
+	// one worker, or rounds below the k-way engine's size threshold.
 	KWayImbalanceMax float64 `json:"kway_imbalance_max,omitempty"`
 }
 
@@ -318,8 +313,8 @@ func (s *sorter[T]) mergeGroup(ctx context.Context, src, dst Device[T], spans []
 	}
 	outLo, outHi := spans[0][0], spans[len(spans)-1][1]
 	outBuf := make([]T, 0, len(spans)*w)
-	// Peak: input windows + output + kway's intermediate scratch (one
-	// output-sized array per live tree level; at most one extra alive).
+	// Peak: input windows + output + kway's scratch (at most one
+	// output-sized array, shared by its windows; none for two runs).
 	kwayScratch := 0
 	if len(spans) > 2 {
 		kwayScratch = cap(outBuf)
@@ -374,7 +369,7 @@ func (s *sorter[T]) mergeGroup(ctx context.Context, src, dst Device[T], spans []
 		// At least the bound-attaining run's whole window is emitted, so
 		// every round makes progress.
 		out := outBuf[:steps]
-		_, st := kway.MergeIntoStats(out, prefixes, s.workers, s.cfg.KWay)
+		_, st := kway.MergeIntoStats(out, prefixes, s.workers, kway.StrategyAuto)
 		if st.Imbalance > s.kwayImb {
 			s.kwayImb = st.Imbalance
 		}

@@ -217,6 +217,31 @@ func TestSortIOScalesWithLogRuns(t *testing.T) {
 	}
 }
 
+// TestSortKWayWindowBalance pins Stats.KWayImbalanceMax: with rounds
+// large enough for the k-way engine to cut co-rank windows, two workers
+// report a window balance of ~1.0; one worker merges every round as one
+// window and reports none.
+func TestSortKWayWindowBalance(t *testing.T) {
+	const m = 1 << 15 // fan-in 4: 2730-record windows, 10920-record rounds
+	n := 4 * m
+	data := workload.Unsorted(rand.New(rand.NewSource(160)), n)
+	for _, workers := range []int{1, 2} {
+		dev := NewBlockDevice[int32](n, 64)
+		dev.Load(data)
+		stats := sortMem(t, dev, n, Config{MemoryRecords: m, Workers: workers, FanIn: 4})
+		if !verify.Sorted(dev.Snapshot(n)) {
+			t.Fatalf("workers=%d: not sorted", workers)
+		}
+		if stats.PeakBufferRecords > m {
+			t.Fatalf("workers=%d: peak buffer %d exceeds budget %d", workers, stats.PeakBufferRecords, m)
+		}
+		imb := stats.KWayImbalanceMax
+		if workers == 1 && imb != 0 || workers == 2 && (imb < 1 || imb > 1.5) {
+			t.Fatalf("workers=%d: k-way imbalance %.3f", workers, imb)
+		}
+	}
+}
+
 func TestSortQuick(t *testing.T) {
 	f := func(raw []int32, mSeed uint8, blockSeed uint8) bool {
 		n := len(raw)

@@ -286,13 +286,13 @@ func kwayLists(k, n int, skew string, seed int64) [][]int32 {
 	return lists
 }
 
-// KWay benches the three k-way merge strategies — sequential heap,
-// merge-path tree, co-ranking windows — across k and input skews, with
-// the co-rank per-worker imbalance in the last column (extension
-// experiment; algorithms in docs/KWAY.md).
+// KWay benches the k-way engine (co-rank windows, each merged by a
+// sequential merge-path tree) against the Iter cursor heap across k and
+// input skews, with the per-window imbalance in the last column
+// (extension experiment; algorithms in docs/KWAY.md).
 func KWay(opt Options) *Table {
-	t := NewTable("Extension — k-way merge strategies: heap vs tree vs co-rank",
-		"k", "skew", "p", "heap", "tree", "corank", "corank-vs-heap", "imbalance")
+	t := NewTable("Extension — k-way merge: windowed merge-path engine vs cursor heap",
+		"k", "skew", "p", "heap", "engine", "engine-vs-heap", "imbalance")
 	n := opt.Sizes[0]
 	for _, k := range []int{4, 16, 64} {
 		for _, skew := range []string{"uniform", "dups", "presorted", "onelong"} {
@@ -303,22 +303,26 @@ func KWay(opt Options) *Table {
 			}
 			dst := make([]int32, total)
 			heapTime := stats.Measure(opt.Warmup, opt.Reps, func() {
-				kway.MergeIntoStats(dst, lists, 1, kway.StrategyHeap)
+				it := kway.NewIter(lists)
+				for i := range dst {
+					dst[i], _ = it.Next()
+				}
 			}).Median()
-			for _, p := range []int{1, 4} {
-				tree := stats.Measure(opt.Warmup, opt.Reps, func() {
-					kway.MergeIntoStats(dst, lists, p, kway.StrategyTree)
-				}).Median()
+			for _, p := range []int{1, 2} {
 				var st kway.Stats
-				corank := stats.Measure(opt.Warmup, opt.Reps, func() {
-					_, st = kway.MergeIntoStats(dst, lists, p, kway.StrategyCoRank)
+				engine := stats.Measure(opt.Warmup, opt.Reps, func() {
+					_, st = kway.MergeIntoStats(dst, lists, p, kway.StrategyAuto)
 				}).Median()
-				t.Addf(k, skew, p, heapTime.String(), tree.String(), corank.String(),
-					stats.Speedup(heapTime, corank), fmt.Sprintf("%.3f", st.Imbalance))
+				imbalance := "-"
+				if st.Workers > 1 {
+					imbalance = fmt.Sprintf("%.3f", st.Imbalance)
+				}
+				t.Addf(k, skew, p, heapTime.String(), engine.String(),
+					stats.Speedup(heapTime, engine), imbalance)
 			}
 		}
 	}
-	t.Note = "Imbalance is max/mean elements per co-rank window (Theorem 5 extended to k runs); ~1.0 on every row by construction."
+	t.Note = "Imbalance is max/mean elements per co-rank window (Theorem 5 extended to k runs), ~1.0 by construction; '-' marks a merge that ran as one window."
 	return t
 }
 

@@ -33,7 +33,6 @@ import (
 
 	"mergepath/internal/extsort"
 	"mergepath/internal/fault"
-	"mergepath/internal/kway"
 )
 
 // Lifecycle and admission errors, mapped to HTTP statuses by the server.
@@ -108,9 +107,6 @@ type Config struct {
 	// FanIn is the merge-tree fan-in passed to extsort. Default
 	// extsort.DefaultFanIn.
 	FanIn int
-	// KWay is the in-window k-way merge strategy passed to extsort
-	// (docs/KWAY.md). The zero value (auto) picks per round.
-	KWay kway.Strategy
 	// Workers is the in-memory parallelism of each job's sort phases.
 	// Default GOMAXPROCS.
 	Workers int

@@ -202,7 +202,6 @@ func (m *Manager) execute(j *job, resultPath, scratchPath string) error {
 		MemoryRecords: m.cfg.MemoryRecords,
 		Workers:       m.cfg.Workers,
 		FanIn:         m.cfg.FanIn,
-		KWay:          m.cfg.KWay,
 		Progress: func(done, total int64, phase string) {
 			if phase != curPhase {
 				now := time.Now()

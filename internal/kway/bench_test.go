@@ -9,10 +9,10 @@ import (
 	"mergepath/internal/workload"
 )
 
-// BenchmarkKWayStrategies compares the three strategies at the issue's
-// k sweep over a fixed total output size (so the heap/tree/co-rank
-// columns are directly comparable per row). `make bench-kway` runs it.
-func BenchmarkKWayStrategies(b *testing.B) {
+// BenchmarkKWayEngine runs the engine next to the Iter heap oracle over
+// a k sweep at a fixed total output size, so the two columns compare per
+// row. `make bench-kway` runs it.
+func BenchmarkKWayEngine(b *testing.B) {
 	const total = 1 << 20
 	p := runtime.GOMAXPROCS(0)
 	for _, k := range []int{4, 16, 64} {
@@ -22,14 +22,18 @@ func BenchmarkKWayStrategies(b *testing.B) {
 			lists[i] = workload.SortedUniform32(rng, total/k)
 		}
 		dst := make([]int32, total)
-		for _, strat := range []Strategy{StrategyHeap, StrategyTree, StrategyCoRank} {
-			b.Run(fmt.Sprintf("k=%d/%s", k, strat), func(b *testing.B) {
-				b.SetBytes(int64(total) * 4)
-				for i := 0; i < b.N; i++ {
-					MergeIntoStats(dst, lists, p, strat)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("k=%d/engine", k), func(b *testing.B) {
+			b.SetBytes(int64(total) * 4)
+			for i := 0; i < b.N; i++ {
+				MergeInto(dst, lists, p)
+			}
+		})
+		b.Run(fmt.Sprintf("k=%d/heap", k), func(b *testing.B) {
+			b.SetBytes(int64(total) * 4)
+			for i := 0; i < b.N; i++ {
+				HeapMerge(lists)
+			}
+		})
 	}
 }
 

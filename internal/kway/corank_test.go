@@ -1,6 +1,7 @@
 package kway
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -38,31 +39,120 @@ func genLists(rng *rand.Rand, k, maxLen int, domain int32) [][]int32 {
 	return lists
 }
 
+// genShape spreads exactly total elements over k sorted lists in one of
+// the shapes the engine must survive: uniform values, duplicate-heavy
+// values (ties across every window cut), one long run among short ones,
+// and disjoint value ranges that put later lists first (windows then
+// align with whole runs).
+func genShape(rng *rand.Rand, shape string, k, total int) [][]int32 {
+	lens := make([]int, k)
+	if shape == "onelong" && k > 0 {
+		long := rng.Intn(k)
+		lens[long] = total
+		for i := range lens {
+			if n := rng.Intn(total/(4*k) + 1); i != long && n <= lens[long] {
+				lens[i] = n
+				lens[long] -= n
+			}
+		}
+	} else {
+		cuts := []int{0, total}
+		for i := 1; i < k; i++ {
+			cuts = append(cuts, rng.Intn(total+1))
+		}
+		sort.Ints(cuts)
+		for i := range lens {
+			lens[i] = cuts[i+1] - cuts[i]
+		}
+	}
+	lists := make([][]int32, k)
+	for i, n := range lens {
+		l := workload.SortedUniform32(rng, n)
+		switch shape {
+		case "dups":
+			for j := range l {
+				l[j] = l[j] & 3
+			}
+			insertion(l)
+		case "disjoint":
+			for j := range l {
+				l[j] = int32((k-i)<<20 + j)
+			}
+		}
+		lists[i] = l
+	}
+	return lists
+}
+
 // TestMergeIntoMatchesHeap is the differential gate wired into `make
-// verify`: every strategy must be byte-identical to the sequential heap
-// baseline across k x sizes x duplicate densities x empty/singleton
-// runs.
+// verify`: Merge, MergeIntoStats and MergeFunc must be byte-identical to
+// the Iter heap across k, totals on both sides of the one-window
+// threshold, value shapes and window counts (p > total included), and
+// the windows must be cut at equal output ranks.
 func TestMergeIntoMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(200))
-	strategies := []Strategy{StrategyAuto, StrategyHeap, StrategyTree, StrategyCoRank}
-	for _, k := range []int{1, 2, 3, 4, 7, 16, 33, 64} {
-		for _, domain := range []int32{0, 3, 50} {
-			for trial := 0; trial < 6; trial++ {
-				lists := genLists(rng, k, 300, domain)
+	less := func(x, y int32) bool { return x < y }
+	for _, k := range []int{0, 1, 2, 3, 32, 33} {
+		for _, shape := range []string{"uniform", "dups", "onelong", "disjoint"} {
+			for _, total := range []int{0, 1, 5, 300, coRankMinTotal - 1, coRankMinTotal, coRankMinTotal + 7, 3*coRankMinTotal + 1} {
+				if k == 0 && total > 0 {
+					continue
+				}
+				lists := genShape(rng, shape, k, total)
 				want := HeapMerge(lists)
-				p := 1 + rng.Intn(8)
-				for _, strat := range strategies {
-					dst := make([]int32, len(want))
-					got, st := MergeIntoStats(dst, lists, p, strat)
+				for _, p := range []int{1, 2, 3, 8} {
+					name := fmt.Sprintf("k=%d %s total=%d p=%d", k, shape, total, p)
+					if got := Merge(lists, p); !verify.Equal(got, want) {
+						t.Fatalf("%s: Merge differs from the heap", name)
+					}
+					if got := MergeFunc(lists, p, less); !verify.Equal(got, want) {
+						t.Fatalf("%s: MergeFunc differs from the heap", name)
+					}
+					got, st := MergeIntoStats(make([]int32, total+1), lists, p, StrategyAuto)
 					if !verify.Equal(got, want) {
-						t.Fatalf("k=%d domain=%d p=%d strategy=%v: output differs from heap baseline", k, domain, p, st.Strategy)
+						t.Fatalf("%s: MergeIntoStats differs from the heap", name)
 					}
-					if st.Strategy == StrategyAuto {
-						t.Fatalf("stats must report the resolved strategy, got auto")
+					windows := min(p, total)
+					if total < coRankMinTotal {
+						windows = 1
 					}
+					if st.K != k || st.Workers != windows {
+						t.Fatalf("%s: stats %+v, want K=%d Workers=%d", name, st, k, windows)
+					}
+					checkLoads(t, name, st, total)
 				}
 			}
 		}
+	}
+}
+
+// checkLoads asserts the Theorem 5 balance of one merge's windows: every
+// window writes ⌊total/w⌋ or ⌈total/w⌉ elements, and a single window
+// reports no loads at all.
+func checkLoads(t *testing.T, name string, st Stats, total int) {
+	t.Helper()
+	if st.Workers == 1 {
+		if st.PerWorker != nil || st.Imbalance != 0 {
+			t.Fatalf("%s: one window reports loads %v, imbalance %.3f", name, st.PerWorker, st.Imbalance)
+		}
+		return
+	}
+	if len(st.PerWorker) != st.Workers {
+		t.Fatalf("%s: %d loads for %d windows", name, len(st.PerWorker), st.Workers)
+	}
+	lo, hi := total/st.Workers, (total+st.Workers-1)/st.Workers
+	sum := 0
+	for w, n := range st.PerWorker {
+		if n < lo || n > hi {
+			t.Fatalf("%s: window %d load %d outside [%d,%d]", name, w, n, lo, hi)
+		}
+		sum += n
+	}
+	if sum != total {
+		t.Fatalf("%s: window loads sum to %d, want %d", name, sum, total)
+	}
+	if st.Imbalance < 1 || st.Imbalance > 1.5 {
+		t.Fatalf("%s: imbalance %.3f", name, st.Imbalance)
 	}
 }
 
@@ -254,80 +344,35 @@ func TestCoRankFuncMatchesOrdered(t *testing.T) {
 	}
 }
 
-// TestMergeCoRankStats: per-worker loads must sum to the total and be
-// balanced to within one element (imbalance ~1.0), extending the
-// Theorem 5 validation from 2-way to k-way.
-func TestMergeCoRankStats(t *testing.T) {
+// TestMergeWindowStats: per-window loads of a multi-window merge must
+// sum to the total and be balanced to within one element (imbalance
+// ~1.0), extending the Theorem 5 validation from 2-way to k-way.
+func TestMergeWindowStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
 	for trial := 0; trial < 25; trial++ {
-		lists := genLists(rng, 3+rng.Intn(14), 500, 0)
+		k := 3 + rng.Intn(14)
+		lists := genLists(rng, k, 4*coRankMinTotal/k, 0)
 		total := 0
 		for _, l := range lists {
 			total += len(l)
 		}
 		p := 1 + rng.Intn(8)
-		dst := make([]int32, total)
-		got, st := MergeCoRank(dst, lists, p)
+		got, st := MergeIntoStats(make([]int32, total), lists, p, StrategyAuto)
 		if !verify.Equal(got, HeapMerge(lists)) {
-			t.Fatal("co-rank merge differs from heap baseline")
+			t.Fatal("windowed merge differs from heap baseline")
 		}
-		if st.Strategy != StrategyCoRank {
-			t.Fatalf("strategy %v", st.Strategy)
-		}
-		sum := 0
-		for _, n := range st.PerWorker {
-			sum += n
-		}
-		if sum != total {
-			t.Fatalf("per-worker loads sum to %d, want %d", sum, total)
-		}
-		if total >= p && p > 0 {
-			lo, hi := total/p, (total+p-1)/p
-			for w, n := range st.PerWorker {
-				if n < lo || n > hi {
-					t.Fatalf("worker %d load %d outside [%d,%d]", w, n, lo, hi)
-				}
-			}
-		}
-		if total > 0 && st.Imbalance > 1.5 {
-			t.Fatalf("imbalance %.3f", st.Imbalance)
-		}
+		checkLoads(t, fmt.Sprintf("trial %d p=%d total=%d", trial, p, total), st, total)
 	}
 }
 
-func TestStrategyParseAndString(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Strategy
-	}{
-		{"", StrategyAuto}, {"auto", StrategyAuto}, {"heap", StrategyHeap},
-		{"tree", StrategyTree}, {"corank", StrategyCoRank},
-	} {
-		got, err := ParseStrategy(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseStrategy(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParseStrategy("loser-tree"); err == nil {
-		t.Fatal("expected error for unknown strategy")
-	}
-	for _, s := range []Strategy{StrategyHeap, StrategyTree, StrategyCoRank} {
-		rt, err := ParseStrategy(s.String())
-		if err != nil || rt != s {
-			t.Fatalf("round-trip %v: %v, %v", s, rt, err)
-		}
-	}
-}
-
-// TestMergeIntoStatsEdges: empty and single-list inputs short-circuit
-// before any strategy runs.
+// TestMergeIntoStatsEdges: empty and single-list inputs.
 func TestMergeIntoStatsEdges(t *testing.T) {
-	out, st := MergeIntoStats([]int32{}, nil, 4, StrategyCoRank)
+	out, st := MergeIntoStats([]int32{}, nil, 4, StrategyAuto)
 	if len(out) != 0 || st.K != 0 {
 		t.Fatalf("nil lists: %v %+v", out, st)
 	}
 	dst := make([]int32, 3)
-	out, _ = MergeIntoStats(dst, [][]int32{{3, 1, 2}}, 4, StrategyCoRank)
+	out, _ = MergeIntoStats(dst, [][]int32{{3, 1, 2}}, 4, StrategyAuto)
 	if out[0] != 3 || out[1] != 1 || out[2] != 2 {
 		t.Fatalf("single list must be copied verbatim: %v", out)
 	}

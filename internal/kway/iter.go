@@ -5,9 +5,10 @@ import "cmp"
 // Iter is a pull-based merged iterator over k sorted lists: the streaming
 // counterpart of Merge for consumers that process the merged sequence
 // incrementally (cursors over index runs, merge joins) and must not
-// materialize it. It uses a tournament (loser-tree-style) binary heap over
-// the list heads with the same cross-list tie rule as Merge/HeapMerge:
-// equal elements come out ordered by list index.
+// materialize it. It keeps a plain binary min-heap of list cursors,
+// ordered by head value and then list index, so equal elements come out
+// ordered by list index — the same tie rule as Merge. It is the
+// package's one cursor heap, and HeapMerge drains it as the test oracle.
 type Iter[T cmp.Ordered] struct {
 	lists [][]T
 	heap  []cursor // binary min-heap of active list cursors

@@ -1,7 +1,9 @@
 package kway
 
 import (
+	"cmp"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -74,40 +76,46 @@ func TestMergeAgainstHeap(t *testing.T) {
 		got := Merge(lists, 3)
 		want := HeapMerge(lists)
 		if !verify.Equal(got, want) {
-			t.Fatalf("k=%d: tree merge differs from heap merge", k)
+			t.Fatalf("k=%d: merge differs from heap merge", k)
 		}
 	}
 }
 
-// TestTreeMergeHonoursWorkerLimit counts the workers of the pairwise
-// merges a tree runs at once. A round of k/2 pairs used to start every
-// pair together whatever p was; the limit is p workers in total.
-func TestTreeMergeHonoursWorkerLimit(t *testing.T) {
+// TestWindowsHonourWorkerLimit counts the windows that merge at once,
+// which must never exceed p, and checks that the scratch of all windows
+// together fits in one dst-sized array — the budget extsort charges a
+// k-way merge for.
+func TestWindowsHonourWorkerLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
-	for _, k := range []int{2, 3, 7, 16, 33} {
-		lists := make([][]int32, k)
-		total := 0
-		for i := range lists {
-			lists[i] = workload.SortedUniform32(rng, 1+rng.Intn(300))
-			total += len(lists[i])
-		}
+	for _, k := range []int{3, 7, 33} {
+		lists := genShape(rng, "uniform", k, 4*coRankMinTotal)
 		want := HeapMerge(lists)
 		for _, p := range []int{1, 2, 3, 5} {
 			var running, peak atomic.Int64
-			dst := make([]int32, total)
-			treeMerge(dst, lists, p, func(a, b, out []int32, workers int) {
-				now := running.Add(int64(workers))
+			dst := make([]int32, len(want))
+			mergeWindows(dst, lists, p, cmp.Less[int32], func(a, b, out []int32) {
+				now := running.Add(1)
 				for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
 				}
-				time.Sleep(200 * time.Microsecond) // hold the workers so merges overlap
-				core.ParallelMerge(a, b, out, workers)
-				running.Add(-int64(workers))
+				time.Sleep(200 * time.Microsecond) // hold the window so windows overlap
+				core.Merge(a, b, out)
+				running.Add(-1)
 			})
 			if got := peak.Load(); got > int64(p) {
-				t.Errorf("k=%d p=%d: %d workers ran at once", k, p, got)
+				t.Errorf("k=%d p=%d: %d windows merged at once", k, p, got)
 			}
 			if !verify.Equal(dst, want) {
-				t.Fatalf("k=%d p=%d: tree merge differs from heap merge", k, p)
+				t.Fatalf("k=%d p=%d: windowed merge differs from heap merge", k, p)
+			}
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			MergeInto(dst, lists, p)
+			runtime.ReadMemStats(&after)
+			// One int32 scratch array as long as dst, plus the cut
+			// vectors and run lists (some KiB).
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(dst)+32<<10); got > limit {
+				t.Errorf("k=%d p=%d: one merge allocated %d bytes, want <= %d", k, p, got, limit)
 			}
 		}
 	}

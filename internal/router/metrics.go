@@ -30,14 +30,13 @@ type metrics struct {
 	failed     atomic.Uint64 // requests the router answered 502/503 for
 	binaryHops atomic.Uint64 // scatter sub-requests encoded as binary frames
 
-	gatherStrategy string        // configured gather strategy knob (set once at New)
-	gatherMerges   atomic.Uint64 // gather recombinations executed
+	gatherMerges atomic.Uint64 // gather recombinations executed
 
 	mu             sync.Mutex
 	fanout         map[int]uint64 // scatter requests by window count
-	gatherImbMax   float64        // worst co-rank gather window imbalance seen
+	gatherImbMax   float64        // worst gather window imbalance seen
 	gatherImbSum   float64        // running sum of gather imbalance ratios
-	gatherImbCount uint64         // co-rank gathers contributing to gatherImbSum
+	gatherImbCount uint64         // multi-window gathers contributing to gatherImbSum
 }
 
 type endpointMetrics struct {
@@ -104,11 +103,11 @@ func (m *metrics) noteScatter(parts int, _ time.Duration) {
 }
 
 // noteGather records one gather recombination: the count plus — when
-// the co-rank strategy ran and reported per-window loads — the window
-// imbalance, the k-way analogue of the node's round-balance metrics.
+// the merge ran more than one co-rank window — the window imbalance,
+// the k-way analogue of the node's round-balance metrics.
 func (m *metrics) noteGather(st kway.Stats) {
 	m.gatherMerges.Add(1)
-	if len(st.PerWorker) == 0 || st.Imbalance <= 0 {
+	if st.Workers < 2 {
 		return
 	}
 	m.mu.Lock()
@@ -167,16 +166,13 @@ type RoutingSnapshot struct {
 	// Fanout is the scatter fan-out distribution: window count →
 	// number of scattered requests that used it.
 	Fanout map[int]uint64 `json:"fanout,omitempty"`
-	// GatherStrategy is the configured -gather-strategy knob; "auto"
-	// resolves per gather by partial count and size (docs/KWAY.md).
-	GatherStrategy string `json:"gather_strategy"`
 	// GatherMerges counts gather recombinations of scatter partials.
 	GatherMerges uint64 `json:"gather_merges"`
-	// GatherImbalanceMax is the worst co-rank gather window imbalance
-	// ratio since start (~1.0 by construction; 0 until a co-rank
-	// gather runs).
+	// GatherImbalanceMax is the worst gather window imbalance ratio
+	// since start (~1.0 by construction; 0 until a gather runs more
+	// than one co-rank window).
 	GatherImbalanceMax float64 `json:"gather_imbalance_max"`
-	// GatherImbalanceMean is the mean co-rank gather window imbalance.
+	// GatherImbalanceMean is the mean multi-window gather imbalance.
 	GatherImbalanceMean float64 `json:"gather_imbalance_mean"`
 }
 
@@ -201,19 +197,15 @@ func (m *metrics) snapshot(reg *registry) MetricsSnapshot {
 	s := MetricsSnapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Routing: RoutingSnapshot{
-			Routed:         m.routed.Load(),
-			Scattered:      m.scattered.Load(),
-			Rerouted:       m.rerouted.Load(),
-			Failed:         m.failed.Load(),
-			BinaryHops:     m.binaryHops.Load(),
-			GatherStrategy: m.gatherStrategy,
-			GatherMerges:   m.gatherMerges.Load(),
+			Routed:       m.routed.Load(),
+			Scattered:    m.scattered.Load(),
+			Rerouted:     m.rerouted.Load(),
+			Failed:       m.failed.Load(),
+			BinaryHops:   m.binaryHops.Load(),
+			GatherMerges: m.gatherMerges.Load(),
 		},
 		Endpoints: make(map[string]server.EndpointSnapshot, len(m.endpoints)),
 		Stages:    make(map[string]stats.HistogramSnapshot, len(m.stages)),
-	}
-	if s.Routing.GatherStrategy == "" {
-		s.Routing.GatherStrategy = kway.StrategyAuto.String()
 	}
 	m.mu.Lock()
 	if len(m.fanout) > 0 {
@@ -335,19 +327,11 @@ func renderProm(snap MetricsSnapshot) string {
 	w.Counter("mergerouter_failed_total", "", "Requests answered 502/503 by the router itself.", float64(snap.Routing.Failed))
 	w.Counter("mergerouter_binary_hops_total", "", "Scatter sub-requests encoded as binary frames (wire-speaking backends).", float64(snap.Routing.BinaryHops))
 
-	// Gather recombination: strategy knob (one-hot), count and co-rank
-	// window balance (docs/KWAY.md).
-	for _, st := range []string{"auto", "heap", "tree", "corank"} {
-		v := 0.0
-		if snap.Routing.GatherStrategy == st {
-			v = 1
-		}
-		w.Gauge("mergerouter_gather_strategy", `strategy="`+st+`"`,
-			"Configured gather merge strategy, one-hot: 1 on the series matching the knob.", v)
-	}
+	// Gather recombination: count and co-rank window balance
+	// (docs/KWAY.md).
 	w.Counter("mergerouter_gather_merges_total", "", "Gather recombinations of scatter partials.", float64(snap.Routing.GatherMerges))
-	w.Gauge("mergerouter_gather_imbalance_max", "", "Worst co-rank gather window load-imbalance ratio since start (~1.0 by construction).", snap.Routing.GatherImbalanceMax)
-	w.Gauge("mergerouter_gather_imbalance_mean", "", "Mean co-rank gather window load-imbalance ratio since start.", snap.Routing.GatherImbalanceMean)
+	w.Gauge("mergerouter_gather_imbalance_max", "", "Worst gather window load-imbalance ratio since start (~1.0 by construction).", snap.Routing.GatherImbalanceMax)
+	w.Gauge("mergerouter_gather_imbalance_mean", "", "Mean multi-window gather load-imbalance ratio since start.", snap.Routing.GatherImbalanceMean)
 
 	// Scatter fan-out distribution, one labelled series per observed
 	// window count.

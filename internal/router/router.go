@@ -91,11 +91,6 @@ type Config struct {
 	// MaxScatter caps the scatter fan-out (windows per request).
 	// Default 8, clamped to the backend count at pick time.
 	MaxScatter int
-	// GatherStrategy selects how sorted partials from a scatter are
-	// recombined: kway.StrategyAuto (the zero value) picks by partial
-	// count and total size, the rest force one of heap, tree or corank
-	// (see docs/KWAY.md). The output is byte-identical either way.
-	GatherStrategy kway.Strategy
 	// MaxBodyBytes caps request bodies; beyond it the router answers
 	// 413 without touching a backend. Default 32 MiB (larger than the
 	// node default: the router exists to take requests one node
@@ -165,7 +160,6 @@ func New(cfg Config) (*Router, error) {
 		hc = &http.Client{Timeout: 10 * time.Second}
 	}
 	rt := &Router{cfg: cfg, m: newMetrics(), mux: http.NewServeMux()}
-	rt.m.gatherStrategy = cfg.GatherStrategy.String()
 	seed := cfg.Resilience.Seed
 	rt.reg = newRegistry(cfg.Backends, cfg.HealthInterval, cfg.HealthTimeout, func(u string) *resilience.Client {
 		rc := cfg.Resilience
@@ -202,12 +196,12 @@ func (rt *Router) Snapshot() MetricsSnapshot { return rt.m.snapshot(rt.reg) }
 // (body non-nil) or an object the envelope JSON-encodes.
 type reply struct {
 	status     int
-	obj        any         // encoded when body is nil
-	body       []byte      // raw passthrough from a backend
-	ctype      string      // body's Content-Type; empty means application/json
-	retryAfter string      // Retry-After to surface (backend-quoted)
-	timing     string      // backend Server-Timing to append to ours
-	backendID  string      // X-Request-Id minted downstream, if any
+	obj        any    // encoded when body is nil
+	body       []byte // raw passthrough from a backend
+	ctype      string // body's Content-Type; empty means application/json
+	retryAfter string // Retry-After to surface (backend-quoted)
+	timing     string // backend Server-Timing to append to ours
+	backendID  string // X-Request-Id minted downstream, if any
 }
 
 // route wraps an endpoint handler with the shared envelope: request-ID
@@ -543,7 +537,7 @@ func (rt *Router) scatterMerge(r *http.Request, tr *server.Trace, req server.Mer
 
 	gstart := time.Now()
 	out := make([]int64, len(req.A)+len(req.B))
-	_, st := kway.MergeIntoStats(out, partials, runtime.GOMAXPROCS(0), rt.cfg.GatherStrategy)
+	_, st := kway.MergeIntoStats(out, partials, runtime.GOMAXPROCS(0), kway.StrategyAuto)
 	gather := time.Since(gstart)
 	tr.Add(StageGather, gstart, gather)
 	rt.m.noteScatter(len(windows), gather)

@@ -50,7 +50,7 @@ type Health struct {
 	// through a big external sort is busier than its request queue
 	// shows). Nil only while draining.
 	Jobs *jobs.Snapshot `json:"jobs,omitempty"`
-	// KWay reports the node's k-way merge strategy knob and co-rank
+	// KWay reports the node's k-way merge round count and co-rank
 	// window balance (docs/KWAY.md) — the same numbers as /metrics.
 	// Nil only while draining.
 	KWay *KWaySnapshot `json:"kway,omitempty"`

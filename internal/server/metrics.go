@@ -39,11 +39,7 @@ type Metrics struct {
 	batchElems  atomic.Uint64 // output elements merged by those rounds
 	runRounds   atomic.Uint64 // uncoalesced (whole-pool) rounds with load stats
 
-	kwayHeap   atomic.Uint64 // k-way merges executed with the heap strategy
-	kwayTree   atomic.Uint64 // k-way merges executed with the tree strategy
-	kwayCoRank atomic.Uint64 // k-way merges executed with the co-rank strategy
-
-	kwayStrategy string // configured k-way strategy knob (set once at New)
+	kwayMerges atomic.Uint64 // k-way merge rounds executed
 
 	mu            sync.Mutex
 	lastRoundLoad []batch.WorkerLoad // per-worker loads of the latest round
@@ -53,10 +49,10 @@ type Metrics struct {
 	imbCount      uint64             // rounds contributing to imbSum
 
 	kwayLastK       int     // run count of the latest k-way round
-	kwayLastWorkers int     // windows of the latest k-way co-rank round
-	kwayImbMax      float64 // worst k-way per-worker imbalance seen
+	kwayLastWorkers int     // windows of the latest k-way round
+	kwayImbMax      float64 // worst k-way per-window imbalance seen
 	kwayImbSum      float64 // running sum of k-way imbalance ratios
-	kwayImbCount    uint64  // co-rank rounds contributing to kwayImbSum
+	kwayImbCount    uint64  // multi-window rounds contributing to kwayImbSum
 }
 
 type endpointMetrics struct {
@@ -130,25 +126,18 @@ func (m *Metrics) noteImbalance(imb float64) {
 	m.mu.Unlock()
 }
 
-// noteKWay records one k-way merge round: the strategy that actually
-// executed, and — on the co-rank path, which reports per-worker loads —
-// the window loads against both the pool-wide balanced-round metrics
-// (extending the Theorem 5 imbalance validation from 2-way to k-way)
-// and the k-way-specific aggregates.
+// noteKWay records one k-way merge round: the count, and — when the
+// round ran more than one window — the window loads against both the
+// pool-wide balanced-round metrics (extending the Theorem 5 imbalance
+// validation from 2-way to k-way) and the k-way-specific aggregates. A
+// one-window round has nothing to balance and leaves them untouched.
 func (m *Metrics) noteKWay(st kway.Stats) {
-	switch st.Strategy {
-	case kway.StrategyHeap:
-		m.kwayHeap.Add(1)
-	case kway.StrategyTree:
-		m.kwayTree.Add(1)
-	case kway.StrategyCoRank:
-		m.kwayCoRank.Add(1)
-	}
+	m.kwayMerges.Add(1)
 	m.mu.Lock()
 	m.kwayLastK = st.K
 	m.kwayLastWorkers = st.Workers
 	m.mu.Unlock()
-	if len(st.PerWorker) == 0 {
+	if st.Workers < 2 {
 		return
 	}
 	m.noteRound(stats.SummarizeLoads(st.PerWorker))
@@ -281,29 +270,27 @@ type WireSnapshot struct {
 	UnsupportedMediaType uint64 `json:"unsupported_media_type_total"`
 }
 
-// KWaySnapshot reports the k-way merge strategy counters: rounds by
-// executed strategy, the configured knob, and the per-worker window
-// imbalance of the co-rank path — the k-way extension of the Theorem 5
-// balance check (see docs/KWAY.md). Exported on /metrics,
-// /metrics/prom and (strategy + imbalance) /healthz.
+// KWaySnapshot reports the k-way merge counters: rounds executed and
+// the per-window imbalance of multi-window rounds — the k-way extension
+// of the Theorem 5 balance check (see docs/KWAY.md). Exported on
+// /metrics, /metrics/prom and /healthz.
 type KWaySnapshot struct {
-	// Strategy is the configured -kway-strategy knob; "auto" resolves
-	// per call by k and output size.
-	Strategy string `json:"strategy"`
-	// MergesHeap counts k-way rounds executed with the sequential heap.
-	MergesHeap uint64 `json:"merges_heap"`
-	// MergesTree counts rounds executed with the pairwise merge tree.
-	MergesTree uint64 `json:"merges_tree"`
-	// MergesCoRank counts rounds executed with co-ranking windows.
-	MergesCoRank uint64 `json:"merges_corank"`
+	// MergesCoRank counts k-way merge rounds: every round cuts co-rank
+	// windows, one window below the engine's size threshold.
+	MergesCoRank uint64 `json:"merges"`
+	// MergesHeap is always zero: the heap strategy is gone. The field
+	// stays, omitted from JSON, because the perfbench harness reads it.
+	MergesHeap uint64 `json:"-"`
+	// MergesTree is always zero, kept for the same reason as MergesHeap.
+	MergesTree uint64 `json:"-"`
 	// LastK is the run count of the latest k-way round.
 	LastK int `json:"last_k"`
 	// LastWorkers is the parallel window count of the latest round.
 	LastWorkers int `json:"last_workers"`
-	// ImbalanceMax is the worst per-worker window imbalance ratio of
-	// any co-rank round since start (~1.0 by construction).
+	// ImbalanceMax is the worst per-window imbalance ratio of any
+	// multi-window round since start (~1.0 by construction).
 	ImbalanceMax float64 `json:"imbalance_max"`
-	// ImbalanceMean is the mean co-rank window imbalance since start.
+	// ImbalanceMean is the mean multi-window imbalance since start.
 	ImbalanceMean float64 `json:"imbalance_mean"`
 }
 
@@ -327,7 +314,7 @@ type MetricsSnapshot struct {
 	// Wire counts bodies by negotiated format (JSON vs the binary
 	// frame) and 415 refusals on the /v1 request endpoints.
 	Wire WireSnapshot `json:"wire"`
-	// KWay reports the /v1/mergek strategy counters and co-rank window
+	// KWay reports the /v1/mergek round count and co-rank window
 	// balance (see docs/KWAY.md).
 	KWay KWaySnapshot `json:"kway"`
 	// Jobs is the asynchronous dataset/jobs subsystem's counters and
@@ -337,18 +324,10 @@ type MetricsSnapshot struct {
 	Jobs *jobs.Snapshot `json:"jobs,omitempty"`
 }
 
-// kwaySnapshot assembles the k-way strategy counters; shared by
-// /metrics and /healthz so the surfaces cannot drift.
+// kwaySnapshot assembles the k-way counters; shared by /metrics and
+// /healthz so the surfaces cannot drift.
 func (m *Metrics) kwaySnapshot() KWaySnapshot {
-	s := KWaySnapshot{
-		Strategy:     m.kwayStrategy,
-		MergesHeap:   m.kwayHeap.Load(),
-		MergesTree:   m.kwayTree.Load(),
-		MergesCoRank: m.kwayCoRank.Load(),
-	}
-	if s.Strategy == "" {
-		s.Strategy = kway.StrategyAuto.String()
-	}
+	s := KWaySnapshot{MergesCoRank: m.kwayMerges.Load()}
 	m.mu.Lock()
 	s.LastK = m.kwayLastK
 	s.LastWorkers = m.kwayLastWorkers

@@ -99,13 +99,6 @@ type Config struct {
 	// see internal/jobs). Zero values select the jobs package defaults;
 	// the Fault injector above is shared with it automatically.
 	Jobs jobs.Config
-	// KWayStrategy selects the k-way merge implementation behind
-	// /v1/mergek: kway.StrategyAuto (the zero value) picks co-ranking
-	// for large merges and the sequential heap for small ones;
-	// StrategyHeap / StrategyTree / StrategyCoRank pin one
-	// implementation for benchmarking. Output bytes are identical
-	// across strategies. See docs/KWAY.md.
-	KWayStrategy kway.Strategy
 }
 
 func (c Config) withDefaults() Config {
@@ -151,7 +144,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, m: NewMetrics(), mux: http.NewServeMux()}
-	s.m.kwayStrategy = cfg.KWayStrategy.String()
 	s.ctrl = overload.New(cfg.Overload)
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, cfg.BatchWindow, cfg.BatchElements, s.m, s.ctrl)
 	// Jobs share the overload controller's element accounting: a queued
@@ -535,7 +527,7 @@ func mergeKLists[T cmp.Ordered](s *Server, r *http.Request, lists [][]T, dst []T
 			out = make([]T, j.elems)
 		}
 		var st kway.Stats
-		result, st = kway.MergeIntoStats(out, lists, workers, s.cfg.KWayStrategy)
+		result, st = kway.MergeIntoStats(out, lists, workers, kway.StrategyAuto)
 		s.m.noteKWay(st)
 		return nil
 	}

@@ -110,9 +110,10 @@ func CacheEfficientSort[T cmp.Ordered](s []T, cacheElems, p int) {
 	psort.CacheEfficientSort(s, cacheElems, p)
 }
 
-// MergeK merges k sorted lists into one sorted slice using a binary tree
-// of parallel merge-path merges with p workers per round. Stable across
-// lists (ties ordered by list index).
+// MergeK merges k sorted lists into one sorted slice: the k-way
+// co-ranking cut splits them into up to p windows of equal output size,
+// and each window merges its slices with a binary tree of merge-path
+// merges. Stable across lists (ties ordered by list index).
 func MergeK[T cmp.Ordered](lists [][]T, p int) []T {
 	return kway.Merge(lists, p)
 }
