@@ -24,12 +24,17 @@ race: vet
 
 # Godoc audit: every exported identifier in the service-facing packages
 # must carry a doc comment (see cmd/lintdocs). Fails listing each gap.
+# Also fails if any package but internal/byteview imports unsafe: the
+# raw-byte payload views live in that one package.
 lint-docs:
 	$(GO) run ./cmd/lintdocs ./internal/server ./internal/core \
 		./internal/batch ./internal/stats ./internal/overload \
 		./internal/resilience ./internal/router ./internal/promtext \
 		./internal/jobs ./internal/extsort ./internal/wire \
-		./internal/kway ./internal/fault ./cmd/mergerouter
+		./internal/kway ./internal/fault ./internal/byteview ./cmd/mergerouter
+	@bad=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | \
+		awk '$$1 != "mergepath/internal/byteview" { for (i = 2; i <= NF; i++) if ($$i == "unsafe") print $$1 }'); \
+	if [ -n "$$bad" ]; then echo "unsafe imported outside internal/byteview: $$bad" >&2; exit 1; fi
 
 # Machine-code check of the two-way merge kernel every Ordered merge runs:
 # the int64 and float64 instantiations linked into cmd/mergepathd may call

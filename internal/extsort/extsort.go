@@ -22,11 +22,14 @@ const DefaultFanIn = 8
 
 // Config parameterizes an external sort.
 type Config struct {
-	// MemoryRecords is M, the in-memory workspace in records — a hard
-	// budget covering run formation (M records sorted at a time) and the
-	// merge phase (per-run input windows plus the output buffer). The
-	// engine's peak allocation is reported in Stats.PeakBufferRecords and
-	// never exceeds M.
+	// MemoryRecords is M, the in-memory workspace in records — the
+	// budget of the engine's own record buffers in run formation (M
+	// records sorted at a time) and the merge phase (per-run input
+	// windows plus the output buffer). Their peak is reported in
+	// Stats.PeakBufferRecords and never exceeds M. The budget does not
+	// cover psort's sort scratch: each run formation call to
+	// psort.SortCtx allocates another buffer as long as the run (up to M
+	// records), so run formation holds up to 2M records at once.
 	MemoryRecords int
 	// Workers is the parallelism of the in-memory phases (run sorting
 	// and in-window merging). Default 1.

@@ -1,12 +1,12 @@
 package extsort
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"sync/atomic"
 
+	"mergepath/internal/byteview"
 	"mergepath/internal/fault"
 )
 
@@ -66,6 +66,11 @@ var errReadFault = fmt.Errorf("%w: input/output error", fault.ErrInjected)
 // RecordBytes is the on-disk size of one int64 record (little-endian).
 const RecordBytes = 8
 
+// native selects raw-byte record I/O (little-endian host): Read and
+// Write hand the caller's slice memory straight to ReadAt/WriteAt. Tests
+// clear it to run the portable path on this host.
+var native = byteview.Native
+
 // DefaultFileBlockRecords is the default block size of a FileDevice:
 // 4 KiB of records, matching a common filesystem block.
 const DefaultFileBlockRecords = 4096 / RecordBytes
@@ -74,7 +79,10 @@ const DefaultFileBlockRecords = 4096 / RecordBytes
 // little-endian integers addressed by record offset, and every read or
 // write is charged in whole blocks like the in-memory BlockDevice — so
 // the external sort's I/O accounting holds whether the "next memory
-// level" is simulated or a real disk. Read/Write are not safe for
+// level" is simulated or a real disk. On a little-endian host a record
+// span moves with one ReadAt/WriteAt on the caller's own slice and the
+// device holds no buffer; elsewhere it converts through a scratch
+// buffer as large as the largest span. Read/Write are not safe for
 // concurrent use (the sort engine is single-threaded at the I/O layer);
 // the I/O counters are atomic so metrics may sample them concurrently.
 type FileDevice struct {
@@ -85,7 +93,7 @@ type FileDevice struct {
 	reads        atomic.Uint64
 	writes       atomic.Uint64
 	syncs        atomic.Uint64
-	buf          []byte // reused encode/decode scratch
+	buf          []byte // portable path's encode/decode scratch
 	fault        *fault.Injector
 }
 
@@ -146,7 +154,7 @@ func (d *FileDevice) BlockRecords() int { return d.blockRecords }
 // Path returns the backing file's path.
 func (d *FileDevice) Path() string { return d.path }
 
-// scratch returns the reused byte buffer grown to n records.
+// scratch returns the portable path's byte buffer grown to n records.
 func (d *FileDevice) scratch(n int) []byte {
 	if cap(d.buf) < n*RecordBytes {
 		d.buf = make([]byte, n*RecordBytes)
@@ -155,7 +163,7 @@ func (d *FileDevice) scratch(n int) []byte {
 }
 
 // Read copies len(dst) records starting at record offset off into dst,
-// charging block reads.
+// charging block reads. After an error dst's contents are undefined.
 func (d *FileDevice) Read(off int, dst []int64) error {
 	if off < 0 || off+len(dst) > d.capacity {
 		return fmt.Errorf("extsort: read [%d,%d) outside device of %d records", off, off+len(dst), d.capacity)
@@ -166,15 +174,20 @@ func (d *FileDevice) Read(off int, dst []int64) error {
 	if d.fault.Hit(FaultOpRead) {
 		return &DeviceError{Op: "read", Path: d.path, Err: errReadFault}
 	}
-	buf := d.scratch(len(dst))
+	var buf []byte
+	if native {
+		buf = byteview.Bytes(dst)
+	} else {
+		buf = d.scratch(len(dst))
+	}
 	if _, err := d.f.ReadAt(buf, int64(off)*RecordBytes); err != nil {
 		return &DeviceError{Op: "read", Path: d.path, Err: err}
 	}
 	if d.fault.Hit(FaultOpFlip) {
 		buf[0] ^= 1
 	}
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(buf[i*RecordBytes:]))
+	if !native {
+		byteview.Get(dst, buf)
 	}
 	d.reads.Add(blocksSpanned(d.blockRecords, off, len(dst)))
 	return nil
@@ -192,9 +205,12 @@ func (d *FileDevice) Write(off int, src []int64) error {
 	if d.fault.Hit(FaultOpENOSPC) {
 		return &DeviceError{Op: "write", Path: d.path, Err: errNoSpace}
 	}
-	buf := d.scratch(len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[i*RecordBytes:], uint64(v))
+	var buf []byte
+	if native {
+		buf = byteview.Bytes(src)
+	} else {
+		buf = d.scratch(len(src))
+		byteview.Put(buf, src)
 	}
 	if d.fault.Hit(FaultOpShortWrite) {
 		// A torn write: persist only a prefix, then fail — the caller

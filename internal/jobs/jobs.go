@@ -1,7 +1,7 @@
 // Package jobs is the asynchronous job subsystem behind the dataset API:
 // clients upload datasets too large for a request/response cycle, submit
 // long-running jobs against them (today: "sortfile", an external sort via
-// internal/extsort under a hard memory budget), poll for progress, and
+// internal/extsort under a memory budget), poll for progress, and
 // stream the result when done. The manager bounds concurrent jobs, spills
 // everything to files under one directory, garbage-collects expired job
 // state and temp files on a TTL, and reports every lifecycle transition

@@ -62,6 +62,12 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
 	ts := httptest.NewServer(s)
+	drainOnCleanup(t, s, ts)
+	return s, ts
+}
+
+// drainOnCleanup closes ts and drains s when the test ends.
+func drainOnCleanup(t *testing.T, s *Server, ts *httptest.Server) {
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -70,7 +76,6 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 			t.Errorf("drain: %v", err)
 		}
 	})
-	return s, ts
 }
 
 func TestMergeCoalescedCorrect(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
@@ -341,12 +342,32 @@ func TestConnReuseAfterEarly4xx(t *testing.T) {
 // vanishes mid-download of a job result must increment
 // jobs result_aborts_total (on /metrics and the prom rendering), not be
 // recorded as a clean 200.
+//
+// Both ends of the download run on small fixed socket buffers. With the
+// kernel's autotuned ones (several MiB on loopback) the whole result can
+// sit in the two buffers before the client hangs up, and the server's
+// copy then ends cleanly: the abort would not be certain.
 func TestJobResultAbortCounted(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		Jobs: jobs.Config{Dir: t.TempDir(), MemoryRecords: 1 << 20},
-	})
+	s := New(Config{Jobs: jobs.Config{Dir: t.TempDir(), MemoryRecords: 1 << 20}})
+	ts := httptest.NewUnstartedServer(s)
+	ts.Listener = smallSendBufListener{ts.Listener}
+	ts.Start()
+	drainOnCleanup(t, s, ts)
+	smallRecv := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := new(net.Dialer).DialContext(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			if err := c.(*net.TCPConn).SetReadBuffer(smallSocketBuf); err != nil {
+				c.Close()
+				return nil, err
+			}
+			return c, nil
+		},
+	}}
 	rng := rand.New(rand.NewSource(3))
-	vals := make([]int64, 1<<19) // 4 MiB result: far beyond socket buffers
+	vals := make([]int64, 1<<19) // 4 MiB result: far beyond both buffers
 	for i := range vals {
 		vals[i] = rng.Int63()
 	}
@@ -369,7 +390,7 @@ func TestJobResultAbortCounted(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+v.ID+"/result", nil)
-	resp, err := ts.Client().Do(req)
+	resp, err := smallRecv.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,6 +428,26 @@ func TestJobResultAbortCounted(t *testing.T) {
 	if got := s.Snapshot().Jobs.ResultAborts; got != 1 {
 		t.Fatalf("aborts after clean download = %d, want 1", got)
 	}
+}
+
+// smallSocketBuf is the socket buffer size, in bytes, both ends of
+// TestJobResultAbortCounted ask for.
+const smallSocketBuf = 8 << 10
+
+// smallSendBufListener shrinks the send buffer of every accepted TCP
+// connection to smallSocketBuf.
+type smallSendBufListener struct{ net.Listener }
+
+func (l smallSendBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.(*net.TCPConn).SetWriteBuffer(smallSocketBuf); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
 }
 
 // TestHealthzAdvertisesFormats pins the capability advertisement the

@@ -10,8 +10,9 @@ import (
 // FuzzDecode feeds arbitrary bodies to the frame decoder under a tight
 // element limit and asserts the safety contract: never panic, never
 // allocate past the limit, classify every malformed body as one of the
-// exported error classes, and — when a body does decode — survive a
-// re-encode/re-decode round trip bit-exactly.
+// exported error classes, decode the same way (same lists or same error
+// class) on the native and the portable payload path, and — when a body
+// does decode — survive a re-encode/re-decode round trip bit-exactly.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendInt64(nil))
@@ -20,8 +21,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("MPW1 not a frame"))
 	f.Add(mutateLen(AppendInt64(nil, []int64{1}), 0, math.MaxUint64))
 	f.Add(append(AppendInt64(nil, []int64{7}), 0xFF))
+	f.Add(AppendFloat64(nil, []float64{math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000001)}))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		const limit = 1 << 16
+		decodeBoth(t, body, Limits{MaxElements: limit})
 		fr, err := Decode(bytes.NewReader(body), Limits{MaxElements: limit})
 		if err != nil {
 			if fr != nil {

@@ -5,11 +5,14 @@
 // JSON decode is a top-two latency stage on the service (BENCH_server:
 // parsing numbers costs more than merging them), so the frame carries
 // int64/float64 arrays as raw little-endian payloads behind an 8-byte
-// header and a per-list length table. Decode streams the payload
-// chunk-by-chunk straight into one sync.Pool-recycled arena — a frame
-// with k lists costs one pooled allocation, not k, and the bytes never
-// materialize twice — and Encode writes straight from the result slice
-// with no intermediate buffer. Callers return arenas with
+// header and a per-list length table. On a little-endian host that
+// payload is byte for byte the memory of the lists, so Decode fills one
+// sync.Pool-recycled arena with a single read into its bytes — a frame
+// with k lists costs one pooled allocation, not k, and no per-element
+// work — and Encode writes each list's memory as it stands, copying
+// only short lists into a pooled 64 KiB chunk so a frame of many small
+// lists still costs few writes. Big-endian hosts take a portable path
+// that converts through the same chunk. Callers return arenas with
 // Frame.Release / PutInt64 / PutFloat64 once the response is written.
 //
 // Layout (all integers little-endian):
@@ -35,6 +38,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"mergepath/internal/byteview"
 )
 
 // ContentType is the MIME type that selects the binary frame on the /v1
@@ -162,10 +167,15 @@ func (f *Frame) Release() {
 	}
 }
 
-// chunkBytes is the streaming unit for both directions: big enough to
-// amortize Read/Write calls, small enough to stay pool-friendly. A
-// multiple of 8 so chunks never split an element.
+// chunkBytes is the size of the pooled I/O chunk: the buffer encode
+// gathers the header, length table and short lists into, and the
+// portable path's conversion unit in both directions. A multiple of 8
+// so chunks never split an element.
 const chunkBytes = 64 << 10
+
+// native selects the raw-byte payload path (little-endian host). Tests
+// clear it to run the portable path on this host.
+var native = byteview.Native
 
 var chunkPool = sync.Pool{New: func() any { b := make([]byte, chunkBytes); return &b }}
 
@@ -226,6 +236,7 @@ func PutFloat64(s []float64) {
 	float64Pool.Put(&s)
 }
 
+// truncated classifies a short read as ErrTruncated; nil stays nil.
 func truncated(err error) error {
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		return fmt.Errorf("%w: %v", ErrTruncated, err)
@@ -233,11 +244,12 @@ func truncated(err error) error {
 	return err
 }
 
-// Decode reads one complete frame from r into a pooled arena,
-// streaming the payload in 64 KiB chunks. The length table is checked
-// against lim before any allocation. The body must end exactly at the
-// payload's last byte; anything further is ErrTrailing. Call
-// frame.Release when done with the lists.
+// Decode reads one complete frame from r into a pooled arena; on a
+// little-endian host the payload arrives with one io.ReadFull into the
+// arena's bytes. The length table is checked against lim before any
+// allocation. The body must end exactly at the payload's last byte;
+// anything further is ErrTrailing. Call frame.Release when done with
+// the lists.
 func Decode(r io.Reader, lim Limits) (*Frame, error) {
 	maxElems := lim.MaxElements
 	if maxElems <= 0 {
@@ -281,17 +293,13 @@ func Decode(r io.Reader, lim Limits) (*Frame, error) {
 	switch t {
 	case Int64:
 		f.arenaI = GetInt64(int(total))
-		err = readPayload(r, f.arenaI, func(b []byte) int64 {
-			return int64(binary.LittleEndian.Uint64(b))
-		})
+		err = readPayload(r, f.arenaI)
 		if err == nil {
 			f.Ints = split(f.arenaI, lengths)
 		}
 	case Float64:
 		f.arenaF = GetFloat64(int(total))
-		err = readPayload(r, f.arenaF, func(b []byte) float64 {
-			return math.Float64frombits(binary.LittleEndian.Uint64(b))
-		})
+		err = readPayload(r, f.arenaF)
 		if err == nil {
 			f.Floats = split(f.arenaF, lengths)
 		}
@@ -306,27 +314,27 @@ func Decode(r io.Reader, lim Limits) (*Frame, error) {
 	return f, nil
 }
 
-// readPayload streams len(dst)*8 bytes from r through a pooled chunk
-// into dst.
-func readPayload[T int64 | float64](r io.Reader, dst []T, from func([]byte) T) error {
+// readPayload fills dst with len(dst)*8 payload bytes from r: one read
+// straight into its memory on the native path, a pooled chunk at a time
+// otherwise.
+func readPayload[T int64 | float64](r io.Reader, dst []T) error {
 	if len(dst) == 0 {
 		return nil
+	}
+	if native {
+		_, err := io.ReadFull(r, byteview.Bytes(dst))
+		return truncated(err)
 	}
 	bp := chunkPool.Get().(*[]byte)
 	defer chunkPool.Put(bp)
 	buf := *bp
 	for idx := 0; idx < len(dst); {
-		c := (len(dst) - idx) * 8
-		if c > chunkBytes {
-			c = chunkBytes
-		}
-		if _, err := io.ReadFull(r, buf[:c]); err != nil {
+		n := min(len(dst)-idx, chunkBytes/8)
+		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
 			return truncated(err)
 		}
-		for off := 0; off < c; off += 8 {
-			dst[idx] = from(buf[off : off+8])
-			idx++
-		}
+		byteview.Get(dst[idx:idx+n], buf)
+		idx += n
 	}
 	return nil
 }
@@ -366,89 +374,127 @@ func Size(listLens ...int) int64 {
 	return headerSize + 8*int64(len(listLens)) + 8*total
 }
 
-// EncodeInt64 writes one Int64 frame carrying the given lists to w,
-// streaming through a pooled chunk (no whole-payload buffer).
+// frameSize is Size of the frame carrying lists.
+func frameSize[T any](lists [][]T) int {
+	n := headerSize + 8*len(lists)
+	for _, l := range lists {
+		n += 8 * len(l)
+	}
+	return n
+}
+
+// EncodeInt64 writes one Int64 frame carrying the given lists to w. No
+// whole-frame buffer is built: the header, length table and short lists
+// are gathered in a pooled chunk, and a long list is written straight
+// from its own memory.
 func EncodeInt64(w io.Writer, lists ...[]int64) error {
-	return encode(w, Int64, lists, func(b []byte, v int64) {
-		binary.LittleEndian.PutUint64(b, uint64(v))
-	})
+	return encode(w, Int64, lists)
 }
 
 // EncodeFloat64 writes one Float64 frame carrying the given lists to w.
 func EncodeFloat64(w io.Writer, lists ...[]float64) error {
-	return encode(w, Float64, lists, func(b []byte, v float64) {
-		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
-	})
+	return encode(w, Float64, lists)
 }
 
-func encode[T int64 | float64](w io.Writer, t Type, lists [][]T, put func([]byte, T)) error {
+// appendHeader appends the 8-byte frame header for n lists of type t.
+func appendHeader(dst []byte, t Type, n int) []byte {
+	dst = append(dst, magic[:]...)
+	dst = append(dst, Version, byte(t))
+	return binary.LittleEndian.AppendUint16(dst, uint16(n))
+}
+
+func encode[T int64 | float64](w io.Writer, t Type, lists [][]T) error {
 	if len(lists) > math.MaxUint16 {
 		return fmt.Errorf("%w: %d > %d", ErrTooManyLists, len(lists), math.MaxUint16)
 	}
 	bp := chunkPool.Get().(*[]byte)
 	defer chunkPool.Put(bp)
 	buf := *bp
-	// Header + length table first; the table fits the chunk only up to
-	// ~8K lists, so flush it in chunk-sized pieces like the payload.
-	copy(buf, magic[:])
-	buf[4] = Version
-	buf[5] = byte(t)
-	binary.LittleEndian.PutUint16(buf[6:8], uint16(len(lists)))
-	fill := headerSize
-	flush := func(need int) error {
-		if fill+need <= chunkBytes {
-			return nil
-		}
+	fill := len(appendHeader(buf[:0], t, len(lists)))
+	flush := func() error {
 		_, err := w.Write(buf[:fill])
 		fill = 0
 		return err
 	}
+	// The length table fits the chunk only up to ~8K lists, so it is
+	// flushed in chunk-sized pieces.
 	for _, list := range lists {
-		if err := flush(8); err != nil {
-			return err
+		if fill == chunkBytes {
+			if err := flush(); err != nil {
+				return err
+			}
 		}
 		binary.LittleEndian.PutUint64(buf[fill:], uint64(len(list)))
 		fill += 8
 	}
 	for _, list := range lists {
-		for _, v := range list {
-			if err := flush(8); err != nil {
+		if native {
+			b := byteview.Bytes(list)
+			if len(b) <= chunkBytes-fill {
+				fill += copy(buf[fill:], b)
+				continue
+			}
+			if fill > 0 {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			if _, err := w.Write(b); err != nil {
 				return err
 			}
-			put(buf[fill:fill+8], v)
-			fill += 8
+			continue
+		}
+		for off := 0; off < len(list); {
+			if fill == chunkBytes {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			n := min(len(list)-off, (chunkBytes-fill)/8)
+			byteview.Put(buf[fill:], list[off:off+n])
+			fill += 8 * n
+			off += n
 		}
 	}
 	if fill > 0 {
-		if _, err := w.Write(buf[:fill]); err != nil {
-			return err
-		}
+		return flush()
 	}
 	return nil
 }
 
 // AppendInt64 encodes an Int64 frame into a byte slice (appended to
 // dst) — the convenience path for clients and tests that want a body
-// []byte rather than a stream.
+// []byte rather than a stream. dst grows at most once, to the frame's
+// Size. More lists than one frame carries leave dst unchanged.
 func AppendInt64(dst []byte, lists ...[]int64) []byte {
-	var sb sliceBuf
-	sb.b = dst
-	_ = EncodeInt64(&sb, lists...)
-	return sb.b
+	return appendFrame(dst, Int64, lists)
 }
 
 // AppendFloat64 encodes a Float64 frame into a byte slice appended to
-// dst.
+// dst, growing it at most once.
 func AppendFloat64(dst []byte, lists ...[]float64) []byte {
-	var sb sliceBuf
-	sb.b = dst
-	_ = EncodeFloat64(&sb, lists...)
-	return sb.b
+	return appendFrame(dst, Float64, lists)
 }
 
-type sliceBuf struct{ b []byte }
-
-func (s *sliceBuf) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
+func appendFrame[T int64 | float64](dst []byte, t Type, lists [][]T) []byte {
+	if len(lists) > math.MaxUint16 {
+		return dst
+	}
+	if n := frameSize(lists); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	dst = appendHeader(dst, t, len(lists))
+	for _, list := range lists {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(list)))
+	}
+	for _, list := range lists {
+		if native {
+			dst = append(dst, byteview.Bytes(list)...)
+			continue
+		}
+		n := len(dst)
+		dst = dst[:n+8*len(list)]
+		byteview.Put(dst[n:], list)
+	}
+	return dst
 }
